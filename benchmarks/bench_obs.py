@@ -26,9 +26,9 @@ import json
 import sys
 from collections.abc import Sequence
 
-from repro.attacks import TrialExecutor, attack_names, build_matrix, get_attack
+from repro.attacks import TrialExecutor, attack_names, build_matrix, get_attack, run_on_machine
 from repro.bench import provenance
-from repro.obs.runner import run_attack
+from repro.cpu.machine import Machine
 from repro.params import preset
 
 #: Bump when the JSON layout changes so downstream diffing can gate on it.
@@ -44,22 +44,23 @@ def bench(
     results = []
     for name in attacks:
         rounds = max(1, int(get_attack(name).default_rounds * rounds_scale))
-        run = run_attack(name, params, seed=seed, rounds=rounds)
-        total = run.machine.profile["total"]
+        machine = Machine(params, seed=seed)
+        batch = run_on_machine(name, machine, seed=seed, rounds=rounds)
+        total = machine.profile["total"]
         results.append(
             {
                 "attack": name,
                 "rounds": rounds,
-                "quality": run.quality,
-                "detail": run.detail,
-                "simulated_cycles": run.machine.cycles,
+                "quality": batch.quality,
+                "detail": batch.detail,
+                "simulated_cycles": machine.cycles,
                 "wall_seconds": round(total.wall_seconds, 4),
                 "cycles_per_wall_second": (
-                    round(run.machine.cycles / total.wall_seconds)
+                    round(machine.cycles / total.wall_seconds)
                     if total.wall_seconds > 0
                     else None
                 ),
-                "spans": run.machine.profile.as_dict(),
+                "spans": machine.profile.as_dict(),
             }
         )
     return {

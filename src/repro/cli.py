@@ -603,36 +603,48 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(params: MachineParams, args: argparse.Namespace) -> None:
-    from repro.obs.runner import run_attack
+    from repro.attacks import run_on_machine
+    from repro.cpu.machine import Machine
     from repro.obs.sinks import ChromeTraceSink, RingBufferSink
     from repro.obs.tracer import Tracer
 
     ring = RingBufferSink(capacity=None)
     chrome = ChromeTraceSink(args.out, cycles_per_us=params.frequency_hz / 1e6)
     tracer = Tracer([ring, chrome])
-    run = run_attack(args.attack, params, seed=args.seed, rounds=args.rounds, trace=tracer)
+    machine = Machine(params, seed=args.seed, trace=tracer)
+    batch = run_on_machine(args.attack, machine, seed=args.seed, rounds=args.rounds)
     tracer.close()
     counts: dict[str, int] = {}
     for event in ring.events():
         counts[event.kind] = counts.get(event.kind, 0) + 1
-    print(f"{run.name}: {run.detail}")
+    print(f"{args.attack}: {batch.detail}")
     _table(sorted(counts.items()), ("event", "count"))
-    print(f"wrote {args.out}: {len(ring)} events over {run.machine.cycles} cycles")
+    print(f"wrote {args.out}: {len(ring)} events over {machine.cycles} cycles")
 
 
 def cmd_metrics(params: MachineParams, args: argparse.Namespace) -> None:
-    from repro.obs.runner import run_attack
+    from repro.attacks import run_on_machine
+    from repro.cpu.machine import Machine
 
-    run = run_attack(args.attack, params, seed=args.seed, rounds=args.rounds)
-    registry = run.machine.metrics()
+    machine = Machine(params, seed=args.seed)
+    batch = run_on_machine(args.attack, machine, seed=args.seed, rounds=args.rounds)
+    registry = machine.metrics()
     if args.format == "json":
-        print(json.dumps({"run": run.as_dict(), "metrics": registry.as_dict()}, indent=2))
+        run = {
+            "name": args.attack,
+            "rounds": batch.rounds,
+            "quality": batch.quality,
+            "detail": batch.detail,
+            "simulated_cycles": machine.cycles,
+            "spans": machine.profile.as_dict(),
+        }
+        print(json.dumps({"run": run, "metrics": registry.as_dict()}, indent=2))
         return
-    print(f"{run.name}: {run.detail}")
+    print(f"{args.attack}: {batch.detail}")
     print()
     print(registry.render_text())
     print()
-    print(run.machine.profile.render_text())
+    print(machine.profile.render_text())
 
 
 _COMMANDS: dict[str, tuple[Callable, str]] = {

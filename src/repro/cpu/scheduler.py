@@ -9,11 +9,11 @@ cache/prefetcher noise — through :meth:`Machine.context_switch`.
 
 from __future__ import annotations
 
+from repro.cpu.clock import DEFAULT_TICK_CYCLES
 from repro.cpu.context import ThreadContext
-from repro.cpu.kernel.clock import DEFAULT_TICK_CYCLES
 from repro.cpu.machine import Machine
 
-#: Default scheduling period: the kernel clock's ~100 µs tick.  One
+#: Default scheduling period: the machine clock's ~100 µs tick.  One
 #: constant serves both the timer-interrupt period and the scheduler
 #: quantum — they model the same OS tick (paper §8.3 cost model).
 DEFAULT_QUANTUM_CYCLES = DEFAULT_TICK_CYCLES

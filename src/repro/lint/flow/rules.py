@@ -1,5 +1,5 @@
-"""Flow rules RL014–RL019: determinism taint, fork safety, span/sink
-pairing, kernel component isolation.
+"""Flow rules RL014–RL018: determinism taint, fork safety, span/sink
+pairing.
 
 These rules consume the per-file :class:`~repro.lint.flow.context.FlowContext`
 the engine attaches when the flow pass is enabled.  They are registered in
@@ -27,12 +27,6 @@ skipped when the flow pass is off.
   (or be handed off / returned / ``with``-managed), on **every** CFG
   path out of the scope — an unbalanced span corrupts nesting-aware
   trace consumers, an unclosed sink drops buffered events.
-* **RL019 (kernel component isolation)** — classes deriving from the
-  simulation kernel's ``Component`` base may only reach kernel state
-  through the port/bus API (``kernel.post``/``publish``/``complete``/
-  ``clock_of`` and wired ``*_port`` callables); ``self.machine``
-  back-references, ``component_of()`` sibling grabs and private-kernel
-  pokes re-create the hidden coupling the kernel refactor removed.
 """
 
 from __future__ import annotations
@@ -637,107 +631,6 @@ class ForkCaptureRule(FlowRule):
 
 
 # ---------------------------------------------------------------------- #
-# RL019 — kernel components talk only through the port/bus API             #
-# ---------------------------------------------------------------------- #
-
-#: The SimKernel surface a component may legitimately touch.
-_KERNEL_BUS_API = frozenset({"post", "publish", "complete", "clock_of", "topology"})
-
-
-def _component_classes(tree: ast.Module) -> Iterator[ast.ClassDef]:
-    """Classes deriving from the kernel ``Component`` base."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            for base in node.bases:
-                chain = dotted(base)
-                if chain and chain[-1] == "Component":
-                    yield node
-                    break
-
-
-class KernelComponentIsolationRule(FlowRule):
-    """RL019 — a kernel component bypasses the port/bus API.
-
-    The simulation kernel's component contract (``repro.cpu.kernel.core``)
-    is that components interact only through ``kernel.post`` /
-    ``kernel.publish`` / ``kernel.complete`` / ``kernel.clock_of`` and the
-    ``*_port`` callables the Machine facade wires at assembly time.  A
-    component that holds a ``self.machine`` back-reference, pulls a
-    sibling out with ``component_of()``, or pokes at the kernel's private
-    queue/lane state re-creates exactly the hidden coupling the kernel
-    refactor removed: the equivalence gate can no longer reason about a
-    lane from its event log alone, and batched lanes stop being
-    independent.
-    """
-
-    rule_id = "RL019"
-    title = "kernel component bypasses the port/bus API"
-    hint = "components talk via kernel.post/publish/complete/clock_of and wired *_port callables; wiring belongs to the Machine facade"
-
-    def applies_to(self, path: str) -> bool:
-        normalized = path.replace("\\", "/")
-        return "repro/cpu/kernel/" in normalized and not _is_test_path(path)
-
-    def check(self, ctx: "FileContext") -> Iterator["Finding"]:
-        flow = self.flow(ctx)
-        if flow is None:
-            return
-        for klass in _component_classes(ctx.tree):
-            yield from self._check_component(ctx, klass)
-
-    def _check_component(
-        self, ctx: "FileContext", klass: ast.ClassDef
-    ) -> Iterator["Finding"]:
-        seen: set[tuple[int, int]] = set()
-
-        def once(node: ast.AST) -> bool:
-            key = (node.lineno, node.col_offset)
-            if key in seen:
-                return False
-            seen.add(key)
-            return True
-
-        for node in ast.walk(klass):
-            if isinstance(node, ast.Call):
-                chain = dotted(node.func)
-                if chain and chain[-1] == "component_of" and once(node):
-                    yield ctx.finding(
-                        self, node,
-                        f"component `{klass.name}` grabs a sibling component via "
-                        f"`component_of()`; communicate through a wired `*_port` "
-                        f"callable instead",
-                    )
-            if not isinstance(node, ast.Attribute):
-                continue
-            if (
-                isinstance(node.value, ast.Name)
-                and node.value.id == "self"
-                and node.attr == "machine"
-                and once(node)
-            ):
-                yield ctx.finding(
-                    self, node,
-                    f"component `{klass.name}` reaches back into the Machine "
-                    f"facade via `self.machine`",
-                )
-            if (
-                isinstance(node.value, ast.Attribute)
-                and isinstance(node.value.value, ast.Name)
-                and node.value.value.id == "self"
-                and node.value.attr == "kernel"
-                and node.attr not in _KERNEL_BUS_API
-                and node.attr != "component_of"  # flagged above, at the call
-                and once(node)
-            ):
-                yield ctx.finding(
-                    self, node,
-                    f"component `{klass.name}` touches `kernel.{node.attr}` "
-                    f"outside the bus API "
-                    f"({', '.join(sorted(_KERNEL_BUS_API))})",
-                )
-
-
-# ---------------------------------------------------------------------- #
 # RL018 — spans and sinks must close on every path                         #
 # ---------------------------------------------------------------------- #
 
@@ -988,5 +881,4 @@ FLOW_RULES: tuple[type[Rule], ...] = (
     WorkerSharedGlobalRule,
     ForkCaptureRule,
     SpanSinkPairingRule,
-    KernelComponentIsolationRule,
 )

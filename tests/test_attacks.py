@@ -123,13 +123,6 @@ class TestConsumerSync:
             )
             assert set(attack_action.choices) == set(attack_names())
 
-    def test_obs_runner_has_no_dispatch_table(self):
-        import repro.obs.runner as runner
-
-        assert not hasattr(runner, "_RUNNERS")
-        assert not hasattr(runner, "ATTACK_NAMES")
-        assert not hasattr(runner, "DEFAULT_ROUNDS")
-
 
 class TestTrialBatchMerge:
     def test_merge_recomputes_success_rate(self):

@@ -104,7 +104,11 @@ class TestObservability:
     def test_metrics_json(self, capsys):
         assert main(["metrics", "covert", "--rounds", "5", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
+        assert set(payload["run"]) == {
+            "name", "rounds", "quality", "detail", "simulated_cycles", "spans",
+        }
         assert payload["run"]["name"] == "covert"
+        assert payload["run"]["rounds"] == 5
         assert payload["metrics"]["machine.cycles"] > 0
         assert "total" in payload["run"]["spans"]
 

@@ -1,15 +1,15 @@
-"""Differential equivalence gate for the simulation-kernel refactor.
+"""Differential equivalence gate for the machine's load pipeline.
 
-The event-driven kernel (:mod:`repro.cpu.kernel`) re-expresses the load
-path, context switching and timer interrupts as queued events dispatched
-to pluggable components.  The refactor is only shippable because these
-tests pin its behaviour to *committed bytes* produced by the pre-kernel
-``Machine``:
+``Machine`` calls the TLB, the cache hierarchy, the prefetchers, the
+timing model and the OS-noise paths directly, in a fixed order with a
+fixed RNG draw order.  These tests pin that behaviour to *committed bytes*
+produced before the pipeline was rewritten:
 
 * two same-seed JSONL traces (variant1 + covert) must replay
   byte-identically;
 * all eight registered attacks must reproduce their committed
-  :meth:`TrialBatch.wall_clock_free_dict` aggregates exactly;
+  :meth:`TrialBatch.wall_clock_free_dict` aggregates exactly, with and
+  without the runtime sanitizer (auditing must never change a result);
 * the campaign smoke's content-addressed cell keys must not drift (a
   drift would turn every warm campaign store into a cold one).
 
@@ -68,9 +68,11 @@ def _run_traced(name: str, out_path: Path) -> None:
         sink.close()
 
 
-def _aggregates() -> dict[str, dict]:
+def _aggregates(sanitize: bool | None) -> dict[str, dict]:
     return {
-        name: run_trials(name, seed=SEED, rounds=rounds).wall_clock_free_dict()
+        name: run_trials(
+            name, seed=SEED, rounds=rounds, sanitize=sanitize
+        ).wall_clock_free_dict()
         for name, rounds in sorted(ROUNDS.items())
     }
 
@@ -101,10 +103,11 @@ def test_trace_replays_byte_identically(name: str, tmp_path: Path) -> None:
     )
 
 
-def test_all_attacks_reproduce_golden_aggregates() -> None:
+@pytest.mark.parametrize("sanitize", [None, True], ids=["default", "sanitized"])
+def test_all_attacks_reproduce_golden_aggregates(sanitize: bool | None) -> None:
     golden = GOLDEN_DIR / f"aggregates_seed{SEED}.json"
-    fresh = _aggregates()
-    if _REGEN:
+    fresh = _aggregates(sanitize)
+    if _REGEN and not sanitize:
         with open(golden, "w", encoding="utf-8") as handle:
             json.dump(fresh, handle, sort_keys=True, indent=1)
             handle.write("\n")
@@ -113,7 +116,8 @@ def test_all_attacks_reproduce_golden_aggregates() -> None:
     assert set(fresh) == set(committed)
     for name in sorted(fresh):
         assert fresh[name] == committed[name], (
-            f"{name}: TrialBatch aggregate diverged from the committed golden"
+            f"{name}: TrialBatch aggregate (sanitize={sanitize}) diverged "
+            f"from the committed golden"
         )
 
 

@@ -1,4 +1,4 @@
-"""Tests for the flow rules RL014–RL019 and the flow-aware upgrades.
+"""Tests for the flow rules RL014–RL018 and the flow-aware upgrades.
 
 Each fixture is a small program with a *known* dataflow fact — a taint
 that must reach a sink, a worker that must reach a global — plus the
@@ -491,99 +491,6 @@ class TestSpanSinkPairing:
             "    sink = JsonlSink(path)\n"
         )
         assert "RL018" not in rule_ids(lint(source, flow=False))
-
-
-# --------------------------------------------------------------------- #
-# RL019 — kernel components talk only through the port/bus API           #
-# --------------------------------------------------------------------- #
-
-KERNEL_PATH = "src/repro/cpu/kernel/components.py"
-
-
-class TestKernelComponentIsolation:
-    def test_machine_backreference_is_flagged(self):
-        source = (
-            "from repro.cpu.kernel.core import Component\n"
-            "class Bad(Component):\n"
-            "    name = 'bad'\n"
-            "    def on_load(self, event):\n"
-            "        self.machine.advance(1)\n"
-        )
-        assert "RL019" in rule_ids(lint(source, path=KERNEL_PATH))
-
-    def test_component_of_sibling_grab_is_flagged(self):
-        source = (
-            "from repro.cpu.kernel.core import Component\n"
-            "class Bad(Component):\n"
-            "    name = 'bad'\n"
-            "    def on_load(self, event):\n"
-            "        memsys = self.kernel.component_of(self.lane, 'memsys')\n"
-            "        memsys.hierarchy.access(event.ctx, event.vaddr)\n"
-        )
-        assert "RL019" in rule_ids(lint(source, path=KERNEL_PATH))
-
-    def test_kernel_private_state_poke_is_flagged(self):
-        source = (
-            "from repro.cpu.kernel.core import Component\n"
-            "class Bad(Component):\n"
-            "    name = 'bad'\n"
-            "    def on_load(self, event):\n"
-            "        self.kernel._queue.append(event)\n"
-        )
-        assert "RL019" in rule_ids(lint(source, path=KERNEL_PATH))
-
-    def test_bus_api_and_ports_are_clean(self):
-        source = (
-            "from repro.cpu.kernel.core import Component\n"
-            "class Good(Component):\n"
-            "    name = 'good'\n"
-            "    def on_load(self, event):\n"
-            "        self.tick_port()\n"
-            "        clock = self.kernel.clock_of(self.lane)\n"
-            "        clock.charge(event.ctx, 1)\n"
-            "        self.kernel.publish(event)\n"
-            "        self.kernel.post(event)\n"
-            "        self.kernel.complete(event)\n"
-        )
-        assert "RL019" not in rule_ids(lint(source, path=KERNEL_PATH))
-
-    def test_non_component_classes_are_exempt(self):
-        # MachineBatch holds machines by design; it is not a Component.
-        source = (
-            "class MachineBatch:\n"
-            "    def __init__(self, machine):\n"
-            "        self.machine = machine\n"
-            "    def run(self):\n"
-            "        return self.machine.cycles\n"
-        )
-        assert "RL019" not in rule_ids(lint(source, path=KERNEL_PATH))
-
-    def test_rule_only_applies_under_the_kernel_package(self):
-        source = (
-            "from repro.cpu.kernel.core import Component\n"
-            "class Elsewhere(Component):\n"
-            "    def on_load(self, event):\n"
-            "        self.machine.advance(1)\n"
-        )
-        assert "RL019" not in rule_ids(lint(source, path=ATTACKS_PATH))
-
-    def test_flow_off_disables_the_rule(self):
-        source = (
-            "from repro.cpu.kernel.core import Component\n"
-            "class Bad(Component):\n"
-            "    def on_load(self, event):\n"
-            "        self.machine.advance(1)\n"
-        )
-        assert "RL019" not in rule_ids(lint(source, path=KERNEL_PATH, flow=False))
-
-    def test_noqa_suppresses(self):
-        source = (
-            "from repro.cpu.kernel.core import Component\n"
-            "class Bad(Component):\n"
-            "    def on_load(self, event):\n"
-            "        self.machine.advance(1)  # repro: noqa[RL019]\n"
-        )
-        assert "RL019" not in rule_ids(lint(source, path=KERNEL_PATH))
 
 
 # --------------------------------------------------------------------- #

@@ -16,9 +16,11 @@ from time import perf_counter  # repro: noqa[RL003] — measuring the host is th
 
 import pytest
 
+import repro.cpu.machine as machine_mod
 import repro.obs.events as events_mod
 import repro.prefetch.ip_stride as ip_stride_mod
-from repro.obs.runner import run_attack
+from repro.attacks import run_on_machine
+from repro.cpu.machine import Machine
 from repro.obs.sinks import JsonlSink
 from repro.obs.tracer import Tracer
 
@@ -26,8 +28,14 @@ ROUNDS = 12
 SEED = 7
 
 
+def _run_covert(seed, rounds, trace=None):
+    """Run the covert attack; returns ``(machine, batch)``."""
+    machine = Machine(seed=seed, trace=trace)
+    return machine, run_on_machine("covert", machine, seed=seed, rounds=rounds)
+
+
 def _covert_run(trace=None):
-    return run_attack("covert", seed=SEED, rounds=ROUNDS, trace=trace)
+    return _run_covert(SEED, ROUNDS, trace=trace)
 
 
 class _Exploding:
@@ -41,9 +49,16 @@ class _Exploding:
 _HOOK_EVENT_SITES = [
     (ip_stride_mod, "TableTransition"),
     (ip_stride_mod, "EntrySnapshot"),
-    # The kernel's TracerTap, the hierarchy, the TLB and the sanitizer all
-    # import their events lazily per call (after the ``tracer.enabled``
-    # check), so patching the defining module covers them.
+    # The machine's load/flush/switch/prefetch hooks bind their events at
+    # import time, so they are patched where ``repro.cpu.machine`` looks
+    # them up.
+    (machine_mod, "LoadTraced"),
+    (machine_mod, "PrefetchIssued"),
+    (machine_mod, "Clflush"),
+    (machine_mod, "ContextSwitch"),
+    # The hierarchy, the TLB, the profiler and the sanitizer import their
+    # events lazily per call (after the ``tracer.enabled`` check), so
+    # patching the defining module covers them.
     (events_mod, "LoadTraced"),
     (events_mod, "PrefetchIssued"),
     (events_mod, "Clflush"),
@@ -60,8 +75,8 @@ class TestDisabledPath:
     def test_no_event_constructed_when_disabled(self, monkeypatch):
         for module, name in _HOOK_EVENT_SITES:
             monkeypatch.setattr(module, name, _Exploding)
-        run = _covert_run(trace=None)  # NullTracer: must never touch a stub
-        assert run.quality > 0.5
+        _machine, batch = _covert_run(trace=None)  # NullTracer: must never touch a stub
+        assert batch.quality > 0.5
 
     def test_null_tracer_overhead_under_five_percent(self, tmp_path):
         # Interleaved pairs of (NullTracer run, fully-traced JSONL run) on
@@ -103,10 +118,10 @@ class TestDeterminism:
         for seed in (1, 2):
             path = tmp_path / f"seed_{seed}.jsonl"
             tracer = Tracer([JsonlSink(str(path))])
-            run_attack("covert", seed=seed, rounds=6, trace=tracer)
+            _run_covert(seed, 6, trace=tracer)
             tracer.close()
             streams.append(path.read_bytes())
         assert streams[0] != streams[1]
 
     def test_simulated_cycles_identical_across_runs(self):
-        assert _covert_run().machine.cycles == _covert_run().machine.cycles
+        assert _covert_run()[0].cycles == _covert_run()[0].cycles
